@@ -108,10 +108,10 @@ struct Args {
     json_out: Option<PathBuf>,
     /// `--quick` single-repetition smoke mode for `bench` (CI).
     quick: bool,
-    /// `--shards` data-plane shards per simulated IXP network; 0 resolves
-    /// to one shard per fabric site, capped at the available cores.
-    /// Results are bit-identical at every value — like `--threads`, this
-    /// only trades wall-clock time.
+    /// `--shards` data-plane shards per simulated IXP network; 0 means
+    /// one. Shards drain serially inside their IXP's worker, so values
+    /// above 1 exercise the epoch-barrier protocol rather than buy speed.
+    /// Results are bit-identical at every value.
     shards: usize,
     /// `--addr` listen address for `serve`.
     addr: String,
@@ -151,8 +151,8 @@ fn usage_text() -> String {
          \x20 --scale S         world scale: test | paper | production (default paper)\n\
          \x20 --out DIR         JSON output directory (default results/)\n\
          \x20 --threads N       worker threads, 0 = automatic (default 0)\n\
-         \x20 --shards N        data-plane shards per IXP network,\n\
-         \x20                   0 = one per fabric site, capped at cores (default 0)\n\
+         \x20 --shards N        data-plane shards per IXP network, drained serially;\n\
+         \x20                   0 = one shard (default 0)\n\
          \x20 --replicates N    sweep replicate seeds per cell (default: the spec's)\n\
          \x20 --faults N        check: perturbation trials (default 200)\n\
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
@@ -253,7 +253,7 @@ fn parse_args() -> Args {
             }
             "--shards" => {
                 args.shards = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    bad_usage("--shards requires a numeric count (0 = one per fabric site)")
+                    bad_usage("--shards requires a numeric count (0 = one shard)")
                 })
             }
             "--report" => {
@@ -441,7 +441,7 @@ fn emit(out_dir: &Path, span: &'static str, f: impl FnOnce() -> ExperimentOutput
 }
 
 /// The campaign every subcommand runs: the paper defaults with the
-/// `--shards` override applied (0 keeps the per-site default).
+/// `--shards` override applied (0 keeps the one-shard default).
 fn campaign_for(args: &Args) -> Campaign {
     Campaign {
         shards: args.shards,
@@ -563,8 +563,8 @@ fn run_experiments(args: &Args) -> RunArtifacts {
         }
     }
 
-    // Ablation re-probes with modified filter configs; it is opt-in (also
-    // included in `all`).
+    // Ablation re-analyzes detection's probe set with each filter
+    // disabled in turn; it is opt-in (also included in `all`).
     if wants(&["ablate"]) {
         emit(&args.out, "repro.ablate", || {
             experiments::filter_ablation(&world, &campaign)
@@ -828,8 +828,9 @@ fn run_bench_command(args: &Args) {
     // Sharded-world benchmark: one big multi-fabric world — the
     // `world_scale` topology knob times the membership scale gives ~10×
     // the members of the base world — probed once pinned to a single
-    // shard and once at the sharded default, so the JSON shows what the
-    // epoch-barrier data plane buys on a world large enough to need it.
+    // shard and once at `--shards` (pass e.g. `--shards 4`; the default is
+    // also one shard), so the JSON shows what the epoch-barrier data plane
+    // costs on a world large enough to need it.
     // Single repetition: this section measures the shard layout's effect,
     // not run-to-run noise.
     let wscale = if args.quick { 2.0 } else { 10.0 };
@@ -916,7 +917,7 @@ fn run_bench_command(args: &Args) {
     let prod_probe_ns = t.elapsed().as_nanos() as f64;
     let prod_plane_bytes: u64 = prod_probes.iter().map(|(_, p)| p.plane_bytes()).sum();
     drop(prod_probes);
-    // Pure shard-drain throughput, one shard vs the `--shards` default:
+    // Pure shard-drain throughput, one shard vs `--shards`:
     // the aggregate events/s the epoch-barrier data plane sustains on a
     // world this size. Byte-identity across shard counts is asserted via
     // the event totals (the determinism suites pin the artifacts).

@@ -897,9 +897,10 @@ pub fn filter_ablation(world: &World, campaign: &Campaign) -> ExperimentOutput {
     use remote_peering::filters::{Discard, FilterConfig};
     use remote_peering::metrics::{confusion_at, filtered_analysis};
 
-    // Probe once; analyze seven ways through the shared metric helpers
-    // (the `ablation` sweep preset runs this same path per replicate).
-    let probed = campaign.probe_all(world);
+    // Reuse detection's memoized probe set; analyze seven ways through the
+    // shared metric helpers (the `ablation` sweep preset runs this same
+    // path per replicate).
+    let probed = campaign.probe_all_cached(world);
 
     let analyze = |skip: Option<Discard>| -> (usize, usize, usize) {
         // (analyzed, detected remote, false positives vs ground truth)
@@ -1157,26 +1158,24 @@ pub fn invisibility(world: &World, campaign: &Campaign) -> ExperimentOutput {
     let mut remote_zero_hop = 0usize;
     let mut gadget_total = 0usize;
     let mut gadget_visible = 0usize;
-    for ixp in world.studied_ixps() {
-        for r in campaign.traceroute_survey(world, ixp, 4) {
-            if !r.reached {
-                continue;
+    for r in campaign.traceroute_all(world, 4) {
+        if !r.reached {
+            continue;
+        }
+        if r.extra_hop {
+            gadget_total += 1;
+            if r.intermediate_hops >= 1 {
+                gadget_visible += 1;
             }
-            if r.extra_hop {
-                gadget_total += 1;
-                if r.intermediate_hops >= 1 {
-                    gadget_visible += 1;
-                }
-            } else if r.truly_remote {
-                remote_total += 1;
-                if r.intermediate_hops == 0 {
-                    remote_zero_hop += 1;
-                }
-            } else {
-                direct_total += 1;
-                if r.intermediate_hops == 0 {
-                    direct_zero_hop += 1;
-                }
+        } else if r.truly_remote {
+            remote_total += 1;
+            if r.intermediate_hops == 0 {
+                remote_zero_hop += 1;
+            }
+        } else {
+            direct_total += 1;
+            if r.intermediate_hops == 0 {
+                direct_zero_hop += 1;
             }
         }
     }

@@ -84,10 +84,11 @@ pub struct Campaign {
     /// campaign.
     pub faults: Option<rp_netsim::FaultConfig>,
     /// Data-plane shards per IXP network. `0` (the default) means one
-    /// shard per IXP fabric site, capped at the machine's available cores;
-    /// any explicit value is used as-is. Results are bit-identical at
-    /// every shard count — the value is pure performance policy, which is
-    /// why it may safely default to a machine-dependent core count.
+    /// shard; any explicit value is used as-is. Shards always drain
+    /// serially on the worker probing their IXP — [`Campaign::probe_all`]
+    /// parallelizes across IXPs only — so more than one shard exercises
+    /// the epoch-barrier protocol without buying speed. Results are
+    /// bit-identical at every shard count.
     #[serde(default)]
     pub shards: usize,
     /// Optional world-level byte budget for the campaign's peak working
@@ -95,25 +96,10 @@ pub struct Campaign {
     /// keeps alive at once (probing proceeds in sequential chunks sized so
     /// the concurrent scenes fit the budget) and each network's retained
     /// per-shard capacity ([`rp_netsim::Network::set_memory_budget`]).
-    /// Like `shards`, pure peak-RSS policy: results are byte-identical
-    /// with or without a budget.
+    /// Pure peak-RSS policy: results are byte-identical with or without
+    /// a budget.
     #[serde(default)]
     pub memory_budget_bytes: Option<u64>,
-}
-
-/// Resolve a requested shard count: `0` = one shard per fabric site,
-/// capped at available cores; explicit values pass through (clamped to at
-/// least 1 by the simulator).
-fn resolve_shards(requested: usize, sites: usize) -> usize {
-    match requested {
-        0 => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            sites.min(cores).max(1)
-        }
-        n => n,
-    }
 }
 
 impl Campaign {
@@ -203,8 +189,8 @@ impl Campaign {
         );
         let duration = world.campaign_duration();
         let seed_base = seed::derive(world.config.seed, domain, ixp.0 as u64);
-        let n_shards = resolve_shards(self.shards, inst.sites.len());
-        let mut net = Network::with_shards(seed_base, n_shards);
+        // `with_shards` clamps the `0` default to one shard.
+        let mut net = Network::with_shards(seed_base, self.shards);
         net.set_timeline_scope(format!("ixp.{}", inst.meta.acronym));
         if let Some(b) = self.per_network_budget(world) {
             net.set_memory_budget(b);
@@ -290,10 +276,9 @@ impl Campaign {
     /// configured injector fired during this IXP's run (all zero when
     /// [`Campaign::faults`] is `None`).
     ///
-    /// With [`Campaign::shards`] > 1 (or more than one fabric site under
-    /// the default), the network's event loop drains shard windows on the
-    /// rayon pool, so a single big world can use every core — results are
-    /// bit-identical to the single-shard serial run either way.
+    /// Runs on the calling thread: with [`Campaign::shards`] > 1 the
+    /// network's shard windows drain one after another, bit-identical to
+    /// the single-shard run.
     pub fn probe_ixp_full(
         &self,
         world: &World,
@@ -531,6 +516,23 @@ impl Campaign {
                 }
             })
             .collect()
+    }
+
+    /// [`Campaign::traceroute_survey`] at every studied IXP, one IXP per
+    /// worker, concatenated in studied-IXP order. Each survey is seeded
+    /// independently, so the result is identical at every thread count.
+    pub fn traceroute_all(&self, world: &World, max_ttl: u8) -> Vec<TracerouteResult> {
+        let sp = rp_obs::span("core.campaign.traceroute_all");
+        let parent = sp.path();
+        let surveys: Vec<Vec<TracerouteResult>> = world
+            .studied_ixps()
+            .par_iter()
+            .map(|&ixp| {
+                let _sp = rp_obs::span_under(&parent, "core.campaign.traceroute_ixp");
+                self.traceroute_survey(world, ixp, max_ttl)
+            })
+            .collect();
+        surveys.concat()
     }
 
     /// Probe every studied IXP, one IXP per worker.

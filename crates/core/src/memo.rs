@@ -7,7 +7,8 @@
 //! across presets, and `repro all` re-enters the detection report per
 //! experiment group. Both artifacts are pure functions of their
 //! configuration, so they are cached here under a *content address*: the
-//! FNV-64 fingerprint of the configuration's canonical JSON encoding.
+//! FNV-1a 64 fingerprint of the configuration's derived `Debug` text (see
+//! [`fingerprint`] for why that text is canonical).
 //!
 //! Keying rules:
 //!

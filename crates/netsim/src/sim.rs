@@ -38,7 +38,6 @@ use crate::router::{Router, RouterBehavior};
 use crate::switch::Switch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use rp_types::{seed, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -132,7 +131,7 @@ struct Attachment {
 }
 
 /// Shard placement and port wiring of one node. Devices themselves live
-/// inside their shard so the parallel window never touches shared state.
+/// inside their shard so a window touches only its own shard's state.
 #[derive(Debug)]
 struct NodeMeta {
     ports: Vec<Attachment>,
@@ -202,7 +201,7 @@ struct Xfer {
 
 /// Read-only state every shard needs while draining a window. Shards hold
 /// devices and queues by value; this is the only data shared between
-/// worker threads, and it is never written during a window.
+/// shards, and it is never written during a window.
 struct Ctx<'a> {
     nodes: &'a [NodeMeta],
     links: &'a [LinkMeta],
@@ -244,8 +243,8 @@ struct Shard {
     /// across every dispatch so the hot loop never allocates.
     scratch: Vec<Action>,
     /// Optional fault injection consulted on every frame transmission.
-    /// Per-shard so the parallel window needs no locking; decision streams
-    /// are keyed by `(link, dir)`, so the split cannot change outcomes.
+    /// Per-shard like every other mutable stream; decision streams are
+    /// keyed by `(link, dir)`, so the split cannot change outcomes.
     faults: Option<FaultInjector>,
     events_processed: u64,
     /// Frames dropped because a device transmitted on an unconnected port.
@@ -277,11 +276,6 @@ struct Shard {
     tl_ev_bucket: u64,
     tl_ev_accum: u64,
 }
-
-/// Minimum total pending events before a window is drained on the rayon
-/// pool. Below this, thread spawn/handoff costs more than the work; the
-/// serial path is bit-identical, so the threshold is pure policy.
-const PAR_WINDOW_EVENTS: usize = 4096;
 
 /// How many windows pass between memory-budget checks. Measuring retained
 /// capacity walks every shard's bucket ring, so the check amortizes over a
@@ -1088,8 +1082,10 @@ impl Network {
     }
 
     /// Drain one window (all events strictly before `horizon`) on every
-    /// shard, in parallel when it pays. With a trace sink installed, each
-    /// shard's window becomes a slice on its own track.
+    /// shard, in shard order on the calling thread. Parallelism lives one
+    /// level up — the campaign probes IXPs concurrently, one network per
+    /// worker. With a trace sink installed, each shard's window becomes a
+    /// slice on its own track.
     fn run_window(&mut self, horizon: SimTime) {
         let tracks = rp_obs::trace::active().then(|| self.trace_track_base());
         let ctx = Ctx {
@@ -1099,13 +1095,14 @@ impl Network {
             obs_active: self.obs_active,
             xshard_skew: self.xshard_skew,
         };
-        let drain_traced = |s: &mut Shard| {
+        for s in &mut self.shards {
+            let Some(base) = tracks else {
+                s.drain_window(&ctx, horizon);
+                continue;
+            };
             let t0 = rp_obs::trace::clock_ns();
             let e0 = s.events_processed;
             s.drain_window(&ctx, horizon);
-            (t0, e0)
-        };
-        let emit = |s: &Shard, base: u32, t0: u64, e0: u64| {
             if s.events_processed > e0 {
                 rp_obs::trace::slice(
                     "window",
@@ -1114,38 +1111,6 @@ impl Network {
                     rp_obs::trace::clock_ns(),
                     s.events_processed - e0,
                 );
-            }
-        };
-        let pending: usize = self.shards.iter().map(|s| s.queue.len()).sum();
-        if self.shards.len() > 1 && pending >= PAR_WINDOW_EVENTS && rayon::current_num_threads() > 1
-        {
-            // Shards move through the pool by value: the vendored rayon
-            // stand-in has no mutable borrows, and moving keeps every
-            // worker's state provably disjoint. Results are bit-identical
-            // to the serial branch — the split is pure policy.
-            let shards = std::mem::take(&mut self.shards);
-            self.shards = shards
-                .into_par_iter()
-                .map(|mut s| {
-                    match tracks {
-                        Some(base) => {
-                            let (t0, e0) = drain_traced(&mut s);
-                            emit(&s, base, t0, e0);
-                        }
-                        None => s.drain_window(&ctx, horizon),
-                    }
-                    s
-                })
-                .collect();
-        } else {
-            for s in &mut self.shards {
-                match tracks {
-                    Some(base) => {
-                        let (t0, e0) = drain_traced(s);
-                        emit(s, base, t0, e0);
-                    }
-                    None => s.drain_window(&ctx, horizon),
-                }
             }
         }
     }

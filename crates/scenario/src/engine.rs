@@ -42,10 +42,9 @@ pub struct SweepConfig {
     pub confidence: f64,
     /// Bootstrap resamples per (cell, metric) interval.
     pub resamples: usize,
-    /// Data-plane shards per simulated IXP network (0 = one per fabric
-    /// site, capped at the available cores). Pure performance policy:
-    /// sweep results are bit-identical at every value, so the knob never
-    /// appears in the output JSON.
+    /// Data-plane shards per simulated IXP network (0 = one shard). Pure
+    /// policy: sweep results are bit-identical at every value, so the knob
+    /// never appears in the output JSON.
     pub shards: usize,
     /// Reuse memoized world builds and probe sets across tasks (the
     /// default). `false` is the reference arm the differential harness

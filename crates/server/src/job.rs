@@ -68,7 +68,7 @@ impl JobSpec {
     /// Parse a job envelope. The common keys are `kind` (required:
     /// `sweep` | `check` | `campaign`), `seed` (default 42), `scale`
     /// (`test` default | `paper` | `production`), and `shards` (default
-    /// 0 = auto);
+    /// 0 = one shard);
     /// unknown keys are rejected so typos fail loudly at submission.
     pub fn parse(v: &Value) -> Result<JobSpec, String> {
         let obj = v

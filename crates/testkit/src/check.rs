@@ -40,11 +40,11 @@ pub struct CheckConfig {
     pub fuzz_iters: u64,
     /// Which world preset to build: test (default), paper, or production.
     pub scale: Scale,
-    /// Data-plane shards per simulated IXP network (0 = one per fabric
-    /// site, capped at the available cores). Deliberately absent from the
-    /// report JSON: the shard-partition invariant below asserts it cannot
-    /// change a single byte of the outcome, so recording it would turn a
-    /// performance policy into spurious report churn.
+    /// Data-plane shards per simulated IXP network (0 = one shard).
+    /// Deliberately absent from the report JSON: the shard-partition
+    /// invariant below asserts it cannot change a single byte of the
+    /// outcome, so recording it would turn a layout policy into spurious
+    /// report churn.
     pub shards: usize,
     /// Run the faulted arm as a from-scratch reference: rebuild the world
     /// (bypassing the memo pool) and degrade it in place, instead of the

@@ -3,8 +3,9 @@
 //! Drives the real `repro` binary (via `CARGO_BIN_EXE_repro`) at test
 //! scale and asserts that (a) the emitted `run_report.json` parses and its
 //! span tree is well-formed, (b) the filter funnel balances against the
-//! probing metrics, and (c) turning the instrumentation on does not change
-//! a single byte of the scientific outputs under `results/`.
+//! probing metrics, (c) turning the instrumentation on does not change
+//! a single byte of the scientific outputs under `results/`, and (d) a
+//! default run probes once and crosses no epoch barrier.
 
 use serde_json::Value;
 use std::path::Path;
@@ -86,6 +87,21 @@ fn check_span(node: &Value, parent_window: u64, names: &mut Vec<String>) {
     {
         check_span(child, window, names);
     }
+}
+
+/// Total `count` of every span node named `name`, wherever it sits.
+fn span_count(node: &Value, name: &str) -> u64 {
+    let own = if node.get("name").and_then(Value::as_str) == Some(name) {
+        node.get("count").and_then(Value::as_u64).expect("count")
+    } else {
+        0
+    };
+    let children = node.get("children").and_then(Value::as_array);
+    own + children
+        .into_iter()
+        .flatten()
+        .map(|c| span_count(c, name))
+        .sum::<u64>()
 }
 
 #[test]
@@ -179,6 +195,25 @@ fn report_schema_and_outputs_are_deterministic() {
         .and_then(Value::as_u64)
         .expect("cone cache hit counter");
     assert!(cache_hits > 0, "repeated sweeps should hit the cone cache");
+
+    // --- one probe per run, one level of parallelism ---------------------
+    // Every experiment reuses detection's memoized probe set, and at
+    // default flags each IXP network is a single shard drained by its
+    // worker — so the run probes once and never crosses an epoch barrier.
+    let probe_calls: u64 = spans
+        .iter()
+        .map(|root| span_count(root, "core.campaign.probe_all"))
+        .sum();
+    assert_eq!(
+        probe_calls, 1,
+        "repro all probed the campaign {probe_calls} times"
+    );
+    let barriers = metrics
+        .get("netsim.shard.barriers")
+        .and_then(|m| m.get("value"))
+        .and_then(Value::as_u64)
+        .unwrap_or(0);
+    assert_eq!(barriers, 0, "default flags ran {barriers} epoch barriers");
 
     // --- (c) instrumentation changes no scientific output ---------------
     let mut compared = 0;
