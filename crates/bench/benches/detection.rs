@@ -26,11 +26,11 @@ fn bench_campaign(c: &mut Criterion) {
     // One IXP end to end: build the packet-level scene, run ~4 months of
     // probing, collect samples (the Table 1 unit of work).
     c.bench_function("campaign/probe_one_ixp", |b| {
-        b.iter(|| campaign.probe_ixp(black_box(&world), black_box(ams)))
+        b.iter(|| campaign.probe_ixp(black_box(&world), black_box(ams), false))
     });
 
     // Filters + classification over pre-collected samples.
-    let samples = campaign.probe_ixp(&world, ams);
+    let samples = campaign.probe_ixp(&world, ams, false).plane;
     c.bench_function("campaign/analyze_one_ixp", |b| {
         b.iter(|| DetectionStudy::analyze_ixp(black_box(&world), ams, black_box(&samples)))
     });

@@ -93,17 +93,6 @@ struct Args {
     faults: Option<u64>,
     /// `--fuzz` iteration count for `check` (default 500).
     fuzz: Option<u64>,
-    /// `--reference-rebuild`: check builds its faulted arm by a full
-    /// from-scratch rebuild instead of the copy-on-write fork path. The
-    /// report and stdout digest are byte-identical either way — that is
-    /// what `tests/fork_equivalence.rs` proves — so this flag exists for
-    /// that proof and for timing the two paths against each other.
-    reference_rebuild: bool,
-    /// `--probe-rebuild`: sweep rebuilds every world and re-probes from
-    /// scratch instead of reusing memoized probe sets across cells.
-    /// Artifacts are byte-identical either way; this is the reference arm
-    /// the differential harness compares against.
-    probe_rebuild: bool,
     /// `--json` output path for `bench` (default `BENCH_10.json`).
     json_out: Option<PathBuf>,
     /// `--quick` single-repetition smoke mode for `bench` (CI).
@@ -156,12 +145,6 @@ fn usage_text() -> String {
          \x20 --replicates N    sweep replicate seeds per cell (default: the spec's)\n\
          \x20 --faults N        check: perturbation trials (default 200)\n\
          \x20 --fuzz N          check: fuzzer iterations per target (default 500)\n\
-         \x20 --reference-rebuild  check: rebuild the faulted arm from scratch\n\
-         \x20                   instead of forking (byte-identical output; the\n\
-         \x20                   reference arm of the differential harness)\n\
-         \x20 --probe-rebuild   sweep: rebuild worlds and re-probe from scratch\n\
-         \x20                   instead of reusing memoized probes (byte-identical\n\
-         \x20                   output; reference arm)\n\
          \x20 --json PATH       bench: result file (default BENCH_10.json)\n\
          \x20 --quick           bench: single repetition (CI smoke run)\n\
          \x20 --report [PATH]   collect spans/metrics, write a run report\n\
@@ -215,8 +198,6 @@ fn parse_args() -> Args {
         replicates: None,
         faults: None,
         fuzz: None,
-        reference_rebuild: false,
-        probe_rebuild: false,
         json_out: None,
         quick: false,
         shards: 0,
@@ -293,8 +274,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| bad_usage("--fuzz requires a numeric count")),
                 )
             }
-            "--reference-rebuild" => args.reference_rebuild = true,
-            "--probe-rebuild" => args.probe_rebuild = true,
             "--json" => {
                 args.json_out = Some(
                     it.next()
@@ -706,8 +685,9 @@ impl BenchRow {
 /// JSON output keeps the same keys from run to run (`BENCH_10.json` in CI
 /// artifacts and at the repository root). Besides the microbench rows, a
 /// `fork_vs_rebuild` section quantifies what copy-on-write forking and
-/// incremental recompute buy over from-scratch rebuilds, with each pair
-/// asserted byte-identical in-process before its speedup is reported, and
+/// incremental recompute buy over a from-scratch rebuild for a one-delta
+/// re-probe, with the pair asserted byte-identical in-process before its
+/// speedup is reported, and
 /// a `production_world` section records what the `--scale production`
 /// preset costs to build, probe, and drain under its memory budget.
 /// `--quick` drops to a single repetition and smaller sharded/production
@@ -746,16 +726,16 @@ fn run_bench_command(args: &Args) {
     // One full campaign pass counts the events and warms the allocator.
     let events: u64 = ixps
         .iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp).1)
+        .map(|&ixp| campaign.probe_ixp(&world, ixp, false).events)
         .sum();
 
-    // Pure event-loop throughput: build + schedule + run every studied
-    // IXP serially, no sample collection.
+    // Serial event-loop throughput: build + schedule + run every studied
+    // IXP on one thread (plus its O(interfaces) sample collection).
     let t = Instant::now();
     for _ in 0..reps {
         let n: u64 = ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&world, ixp).1)
+            .map(|&ixp| campaign.probe_ixp(&world, ixp, false).events)
             .sum();
         assert_eq!(n, events, "event count must be reproducible");
     }
@@ -859,7 +839,7 @@ fn run_bench_command(args: &Args) {
         let t = Instant::now();
         let n: u64 = big_ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&big, ixp).1)
+            .map(|&ixp| campaign.probe_ixp(&big, ixp, false).events)
             .sum();
         let ns = t.elapsed().as_nanos() as f64;
         if big_events == 0 {
@@ -935,7 +915,7 @@ fn run_bench_command(args: &Args) {
         let t = Instant::now();
         let n: u64 = prod_ixps
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&prod, ixp).1)
+            .map(|&ixp| campaign.probe_ixp(&prod, ixp, false).events)
             .sum();
         let ns = t.elapsed().as_nanos() as f64;
         if prod_events == 0 {
@@ -1024,99 +1004,6 @@ fn run_bench_command(args: &Args) {
         fork_section.push(("probe_1delta", rebuild_ns, incremental_ns));
     }
 
-    // The check harness's faulted arm, reference-rebuilt vs forked. Small
-    // trial counts and test scale: the interesting delta is the world
-    // handling, not the invariant sweep riding on top of it.
-    let check_base = rp_testkit::CheckConfig {
-        seed: args.seed,
-        fault_trials: 20,
-        fuzz_iters: 20,
-        scale: Scale::Test,
-        shards: args.shards,
-        reference_rebuild: false,
-    };
-    let check_ref_cfg = rp_testkit::CheckConfig {
-        reference_rebuild: true,
-        ..check_base.clone()
-    };
-    // Untimed warm pass per arm: the fork path's world memo and the
-    // allocator reach steady state, which is what a long-lived process
-    // (and `repro serve`) actually runs at. The fork's win here is two
-    // world builds out of a run dominated by the invariant sweep, so the
-    // pair is timed as a min-of-3 to keep the small delta above the
-    // single-run jitter.
-    std::hint::black_box(rp_testkit::run_check(&check_ref_cfg));
-    std::hint::black_box(rp_testkit::run_check(&check_base));
-    let min_of_3 = |run: &dyn Fn() -> rp_testkit::CheckOutcome| {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..3 {
-            let t = Instant::now();
-            last = Some(run());
-            best = best.min(t.elapsed().as_nanos() as f64);
-        }
-        (best, last.expect("three runs"))
-    };
-    let (check_rebuild_ns, check_ref) = min_of_3(&|| rp_testkit::run_check(&check_ref_cfg));
-    rows.push(BenchRow {
-        name: "check_reference_rebuild",
-        ops: 3,
-        ns_per_op: check_rebuild_ns,
-        events_per_op: 0.0,
-    });
-    let (check_fork_ns, check_fork) = min_of_3(&|| rp_testkit::run_check(&check_base));
-    rows.push(BenchRow {
-        name: "check_fork",
-        ops: 3,
-        ns_per_op: check_fork_ns,
-        events_per_op: 0.0,
-    });
-    assert_eq!(
-        serde_json::to_string(&check_ref.to_json()).expect("render check report"),
-        serde_json::to_string(&check_fork.to_json()).expect("render check report"),
-        "check artifacts diverged between fork and rebuild"
-    );
-    fork_section.push(("check", check_rebuild_ns, check_fork_ns));
-
-    // A method-axis sweep with probe reuse off vs on: cells that differ
-    // only in method parameters share one memoized build + probe.
-    let sweep_spec = rp_scenario::ScenarioSpec::preset("smoke").expect("smoke preset exists");
-    let sweep_base = rp_scenario::SweepConfig {
-        replicates: 2,
-        shards: args.shards,
-        ..rp_scenario::SweepConfig::test_default(args.seed)
-    };
-    let sweep_rebuild_cfg = rp_scenario::SweepConfig {
-        reuse: false,
-        ..sweep_base.clone()
-    };
-    std::hint::black_box(rp_scenario::run_sweep(&sweep_spec, &sweep_rebuild_cfg));
-    std::hint::black_box(rp_scenario::run_sweep(&sweep_spec, &sweep_base));
-    let t = Instant::now();
-    let sweep_rebuilt = rp_scenario::run_sweep(&sweep_spec, &sweep_rebuild_cfg);
-    let sweep_rebuild_ns = t.elapsed().as_nanos() as f64;
-    rows.push(BenchRow {
-        name: "sweep_probe_rebuild",
-        ops: 1,
-        ns_per_op: sweep_rebuild_ns,
-        events_per_op: 0.0,
-    });
-    let t = Instant::now();
-    let sweep_reused = rp_scenario::run_sweep(&sweep_spec, &sweep_base);
-    let sweep_reuse_ns = t.elapsed().as_nanos() as f64;
-    rows.push(BenchRow {
-        name: "sweep_probe_reuse",
-        ops: 1,
-        ns_per_op: sweep_reuse_ns,
-        events_per_op: 0.0,
-    });
-    assert_eq!(
-        serde_json::to_string(&sweep_rebuilt).expect("render sweep"),
-        serde_json::to_string(&sweep_reused).expect("render sweep"),
-        "sweep artifacts diverged between rebuild and reuse"
-    );
-    fork_section.push(("sweep_smoke", sweep_rebuild_ns, sweep_reuse_ns));
-
     println!("==== bench {}", "=".repeat(55));
     println!(
         "{:<22} {:>10} {:>14} {:>16}",
@@ -1158,7 +1045,7 @@ fn run_bench_command(args: &Args) {
             "events_per_campaign": big_events,
         },
         "production_world": prod_section,
-        // Each pair was asserted byte-identical above, so `speedup` is a
+        // The pair was asserted byte-identical above, so `speedup` is a
         // pure performance delta, never a semantic one.
         "fork_vs_rebuild": serde_json::Value::Object(
             fork_section
@@ -1251,7 +1138,6 @@ fn run_sweep_command(args: &Args, spec_arg: &str) {
         scale: args.scale(),
         replicates: args.replicates,
         shards: args.shards,
-        probe_reuse: !args.probe_rebuild,
     });
     eprintln!("  done [{:.1?}]", t0.elapsed());
 
@@ -1271,7 +1157,6 @@ fn run_check_command(args: &Args, report_path: Option<&Path>) -> bool {
         fuzz_iters: args.fuzz.unwrap_or(500),
         scale: args.scale(),
         shards: args.shards,
-        reference_rebuild: args.reference_rebuild,
     };
     let t0 = Instant::now();
     eprintln!(

@@ -53,6 +53,25 @@ pub struct TracerouteResult {
 /// (`None` when the interface never answered).
 pub type RouteServerMins = Vec<(Ipv4Addr, Option<f64>)>;
 
+/// Everything one IXP's campaign run produced ([`Campaign::probe_ixp`]).
+/// Besides the sample plane, the fault tallies, trace digest, and event
+/// count are O(shards) reads of the finished network.
+#[derive(Debug, Clone)]
+pub struct IxpProbe {
+    /// Per-interface LG samples, rows in registry order.
+    pub plane: ProbePlane,
+    /// Per-interface route-server minima, when the route server was asked
+    /// to ping too.
+    pub route_server: Option<RouteServerMins>,
+    /// Exact tallies of the faults the configured injector fired (all zero
+    /// when [`Campaign::faults`] is `None`).
+    pub faults: rp_netsim::FaultCounts,
+    /// The run's event-trace digest (see `Network::trace_digest`).
+    pub trace_digest: u64,
+    /// Total events the run dispatched.
+    pub events: u64,
+}
+
 /// A materialized IXP scene ready for probing.
 struct BuiltIxp {
     net: Network,
@@ -163,12 +182,6 @@ impl Campaign {
         }
     }
 
-    /// Probe one IXP: build its network, run the campaign window, collect
-    /// per-interface samples (rows ordered as the registry lists them).
-    pub fn probe_ixp(&self, world: &World, ixp: IxpId) -> ProbePlane {
-        self.probe_ixp_ext(world, ixp, false).0
-    }
-
     /// Materialize one IXP's scene as a simulator network: fabric switches
     /// (one per site), the dataset's looking-glass hosts, and a member
     /// device behind every listed interface. `healthy_only` skips absent,
@@ -258,35 +271,22 @@ impl Campaign {
         }
     }
 
-    /// Probe one IXP and optionally also measure every listed interface
-    /// from the IXP's route server (section 3.3's validation cross-check).
-    /// Returns `(per-interface LG samples, per-interface route-server
-    /// min-RTTs)`.
-    pub fn probe_ixp_ext(
-        &self,
-        world: &World,
-        ixp: IxpId,
-        with_route_server: bool,
-    ) -> (ProbePlane, Option<RouteServerMins>) {
-        let (samples, rs_mins, _) = self.probe_ixp_full(world, ixp, with_route_server);
-        (samples, rs_mins)
-    }
-
-    /// [`Campaign::probe_ixp_ext`] plus the exact tallies of faults the
-    /// configured injector fired during this IXP's run (all zero when
-    /// [`Campaign::faults`] is `None`).
+    /// Probe one IXP: build its network, run the campaign window, and
+    /// collect per-interface samples (rows ordered as the registry lists
+    /// them). With `route_server` the IXP's route server also pings every
+    /// listed interface (section 3.3's validation cross-check).
     ///
     /// Runs on the calling thread: with [`Campaign::shards`] > 1 the
     /// network's shard windows drain one after another, bit-identical to
     /// the single-shard run.
-    pub fn probe_ixp_full(
-        &self,
-        world: &World,
-        ixp: IxpId,
-        with_route_server: bool,
-    ) -> (ProbePlane, Option<RouteServerMins>, rp_netsim::FaultCounts) {
+    pub fn probe_ixp(&self, world: &World, ixp: IxpId, route_server: bool) -> IxpProbe {
         let inst = world.scene.ixp(ixp);
-        let (net, lgs, listed, route_server) = self.run_campaign_ixp(world, ixp, with_route_server);
+        let (
+            BuiltIxp {
+                net, lgs, listed, ..
+            },
+            rs_host,
+        ) = self.run_campaign_ixp(world, ixp, route_server);
 
         // --- Collect samples into the dense plane, two passes over the
         // recorded outcomes: count per (row, LG) group, then place each
@@ -342,7 +342,7 @@ impl Campaign {
         }
         let plane = builder.finish();
 
-        let rs_mins = route_server.map(|rs| {
+        let route_server = rs_host.map(|rs| {
             // Dense per-slot minima; +∞ marks "never answered".
             let mut mins = vec![f64::INFINITY; inst.members.len()];
             for outcome in net.host(rs).outcomes() {
@@ -362,41 +362,32 @@ impl Campaign {
                 .collect()
         });
 
-        (plane, rs_mins, net.fault_counts())
+        IxpProbe {
+            plane,
+            route_server,
+            faults: net.fault_counts(),
+            trace_digest: net.trace_digest(),
+            events: net.events_processed(),
+        }
     }
 
-    /// Build, schedule, and run one IXP's campaign to completion, returning
-    /// the run's event-trace digest and total dispatched events. The probe
-    /// samples are discarded — this entry point exists for the determinism
-    /// tests (golden trace digests) and the `repro bench` events/sec
-    /// measurement.
-    pub fn probe_ixp_trace(&self, world: &World, ixp: IxpId) -> (u64, u64) {
-        let (net, _, _, _) = self.run_campaign_ixp(world, ixp, false);
-        (net.trace_digest(), net.events_processed())
-    }
-
-    /// The shared engine of [`Campaign::probe_ixp_full`] and
-    /// [`Campaign::probe_ixp_trace`]: materialize the scene, schedule every
-    /// LG query (and optional route-server pings), and run to completion.
-    #[allow(clippy::type_complexity)]
+    /// Materialize the scene, schedule every LG query (and the optional
+    /// route-server pings), and run to completion. Returns the finished
+    /// network and the route server's node, if one was added.
     fn run_campaign_ixp(
         &self,
         world: &World,
         ixp: IxpId,
         with_route_server: bool,
-    ) -> (
-        Network,
-        Vec<(LgOperator, NodeId)>,
-        Vec<(u32, MemberInterface)>,
-        Option<NodeId>,
-    ) {
+    ) -> (BuiltIxp, Option<NodeId>) {
         let duration = world.campaign_duration();
+        let mut built = self.build_ixp_network(world, ixp, "campaign", false);
         let BuiltIxp {
-            mut net,
+            net,
             fabrics,
             lgs,
             listed,
-        } = self.build_ixp_network(world, ixp, "campaign", false);
+        } = &mut built;
         if let Some(template) = &self.faults {
             net.install_faults(rp_netsim::FaultInjector::new(template.derived(
                 "campaign-fault",
@@ -431,8 +422,8 @@ impl Campaign {
             let start =
                 SimTime::ZERO + SimDuration::from_nanos((w_lo * duration.nanos() as f64) as u64);
             let mut q_idx: u64 = 0;
-            for q in 0..q_count {
-                for (_, m) in &listed {
+            for _ in 0..q_count {
+                for (_, m) in listed.iter() {
                     // Jitter the slot by up to ±25% of the interval so
                     // probes land at varied times of day.
                     let jitter_ns =
@@ -443,7 +434,6 @@ impl Campaign {
                         net.plan_ping(*host, at + self.ping_spacing.mul(p as u64), m.ip);
                     }
                     q_idx += 1;
-                    let _ = q;
                 }
             }
         }
@@ -455,18 +445,17 @@ impl Campaign {
             )
             .max(self.min_query_interval);
             let mut k: u64 = 0;
-            for p in 0..self.route_server_pings {
-                for (_, m) in &listed {
+            for _ in 0..self.route_server_pings {
+                for (_, m) in listed.iter() {
                     net.plan_ping(rs, SimTime::ZERO + interval.mul(k), m.ip);
                     k += 1;
-                    let _ = p;
                 }
             }
         }
 
         net.run_to_completion();
 
-        (net, lgs, listed, route_server)
+        (built, route_server)
     }
 
     /// Traceroute survey: run layer-3 path discovery from the first LG
@@ -539,9 +528,10 @@ impl Campaign {
     ///
     /// Each IXP's simulation is seeded independently from the master seed
     /// (`seed::derive(seed, "campaign", ixp)`), so no state flows between
-    /// IXPs and the result is bit-identical to [`Campaign::probe_all_serial`]
-    /// regardless of thread count or scheduling — the property pinned by
-    /// `tests/parallel_determinism.rs`.
+    /// IXPs and the result is bit-identical to a serial loop over
+    /// [`Campaign::probe_ixp`] regardless of thread count or scheduling —
+    /// the property `tests/parallel_determinism.rs` pins against the
+    /// serial reference in `rp_testkit::differential`.
     pub fn probe_all(&self, world: &World) -> ProbeSet {
         let sp = rp_obs::span("core.campaign.probe_all");
         let parent = sp.path();
@@ -559,7 +549,7 @@ impl Campaign {
                 .par_iter()
                 .map(|&ixp| {
                     let _sp = rp_obs::span_under(&parent, "core.campaign.probe_ixp");
-                    (ixp, self.probe_ixp(world, ixp))
+                    (ixp, self.probe_ixp(world, ixp, false).plane)
                 })
                 .collect();
             out.append(&mut part);
@@ -570,15 +560,16 @@ impl Campaign {
     }
 
     /// Memoized [`Campaign::probe_all`]: the probe set is fetched from the
-    /// process-wide memo under `(world fingerprint, campaign fingerprint)`
-    /// and computed once on a miss. Safe because probing is a pure
-    /// function of `(world, campaign)` and mutated worlds carry a unique
-    /// fingerprint (see [`World::mark_mutated`]). `probe_all` itself never
-    /// consults the cache, so benchmarks and determinism tests that call
-    /// it keep measuring real work.
+    /// process-wide memo under the world's key text plus this campaign's
+    /// `Debug` text, and computed once on a miss. Safe because probing is
+    /// a pure function of `(world, campaign)`, mutated worlds carry a
+    /// unique key (see [`World::mark_mutated`]), and every hit compares
+    /// the full key text. `probe_all` itself never consults the cache, so
+    /// benchmarks and determinism tests that call it keep measuring real
+    /// work.
     pub fn probe_all_cached(&self, world: &World) -> std::sync::Arc<ProbeSet> {
-        let key = (world.fingerprint(), crate::memo::fingerprint(self));
-        crate::memo::probes_cached(key, || self.probe_all(world))
+        let key = format!("{}\n{self:?}", world.memo_key);
+        crate::memo::probes_cached(&key, || self.probe_all(world))
     }
 
     /// Incremental re-probe of a forked world: IXPs in the fork's dirty
@@ -615,38 +606,10 @@ impl Campaign {
                 }
                 let _sp = rp_obs::span_under(&parent, "core.campaign.probe_ixp");
                 rp_obs::counter!("core.fork.probe_recomputed").add(1);
-                (ixp, self.probe_ixp(world, ixp))
+                (ixp, self.probe_ixp(world, ixp, false).plane)
             })
             .collect();
         out
-    }
-
-    /// Memoized incremental probe of a fork, for callers that re-enter
-    /// the same fork sequence across jobs (`repro serve`): the fork's own
-    /// probe set is looked up under its deterministic fork key; on a miss,
-    /// the *parent's* cached probes seed [`Campaign::probe_all_incremental`]
-    /// when present, and the result is filed under the fork key. Without
-    /// cached parent probes this degrades to a full (memoized) probe.
-    pub fn probe_fork_cached(&self, fork: &crate::fork::WorldFork) -> std::sync::Arc<ProbeSet> {
-        let campaign_fp = crate::memo::fingerprint(self);
-        if let Some(parent) = crate::memo::probes_lookup((fork.parent_fingerprint(), campaign_fp)) {
-            return crate::memo::probes_cached((fork.fingerprint(), campaign_fp), || {
-                self.probe_all_incremental(fork, &parent)
-            });
-        }
-        crate::memo::probes_cached((fork.fingerprint(), campaign_fp), || {
-            self.probe_all(fork.world())
-        })
-    }
-
-    /// Reference serial implementation of [`Campaign::probe_all`], kept for the
-    /// determinism tests and the serial-vs-parallel benchmark.
-    pub fn probe_all_serial(&self, world: &World) -> ProbeSet {
-        world
-            .studied_ixps()
-            .into_iter()
-            .map(|ixp| (ixp, self.probe_ixp(world, ixp)))
-            .collect()
     }
 
     /// Materialize one member interface as simulator devices.
@@ -794,7 +757,10 @@ mod tests {
             .find(|x| x.meta.acronym == acronym)
             .unwrap()
             .id;
-        (ixp, Campaign::default_paper().probe_ixp(world, ixp))
+        (
+            ixp,
+            Campaign::default_paper().probe_ixp(world, ixp, false).plane,
+        )
     }
 
     #[test]
@@ -898,7 +864,9 @@ mod tests {
         let world = small_world();
         let mut found = 0;
         for ixp in world.studied_ixps() {
-            let samples = Campaign::default_paper().probe_ixp(&world, ixp);
+            let samples = Campaign::default_paper()
+                .probe_ixp(&world, ixp, false)
+                .plane;
             let inst = world.scene.ixp(ixp);
             for m in inst
                 .members
@@ -972,9 +940,9 @@ mod tests {
             .find(|x| x.meta.acronym == "TorIX")
             .unwrap()
             .id;
-        let (samples, rs) = Campaign::default_paper().probe_ixp_ext(&world, torix, true);
-        let rs = rs.unwrap();
-        assert_eq!(rs.len(), samples.len());
+        let probe = Campaign::default_paper().probe_ixp(&world, torix, true);
+        let rs = probe.route_server.unwrap();
+        assert_eq!(rs.len(), probe.plane.len());
         let answered = rs.iter().filter(|(_, m)| m.is_some()).count();
         assert!(answered * 10 >= rs.len() * 8, "{answered}/{}", rs.len());
     }

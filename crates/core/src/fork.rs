@@ -38,17 +38,16 @@
 //!
 //! ## Content-addressed fork keys
 //!
-//! A fork's world is keyed by `fingerprint(parent key, delta log)` —
-//! deterministic, unlike [`World::mark_mutated`]'s one-shot nonces — so
-//! two jobs that fork the same parent and apply the same deltas share
-//! probe memo entries (`repro serve` forks hot pool worlds across jobs
-//! this way).
+//! A fork's world is keyed by the parent's key text followed by the
+//! `Debug` text of each applied delta — deterministic, unlike
+//! [`World::mark_mutated`]'s one-shot `mutated#N` keys — so two forks of
+//! the same parent with the same delta log share probe memo entries.
 
-use crate::memo;
 use crate::world::World;
 use rp_ixp::model::{Access, LgOperator, MemberInterface};
 use rp_types::IxpId;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One recorded mutation of a forked world. Every variant names the IXP
 /// it touches; nothing outside that instance changes.
@@ -174,18 +173,11 @@ pub fn apply_delta_in_place(world: &mut World, delta: &Delta) {
     }
 }
 
-/// The deterministic content address of a fork: the parent's key plus the
-/// delta log. Same parent, same deltas, same key — across jobs and
-/// processes.
-fn fork_key(parent: u64, deltas: &[Delta]) -> u64 {
-    memo::fingerprint(&("fork", parent, deltas))
-}
-
 /// A copy-on-write child of a [`World`], carrying its delta log and dirty
 /// set. Create one with [`World::fork`].
 #[derive(Clone)]
 pub struct WorldFork {
-    parent_key: u64,
+    parent_key: Arc<str>,
     world: World,
     deltas: Vec<Delta>,
     dirty: BTreeSet<IxpId>,
@@ -195,7 +187,7 @@ impl WorldFork {
     pub(crate) fn new(parent: &World) -> WorldFork {
         rp_obs::counter!("core.fork.forks").add(1);
         WorldFork {
-            parent_key: parent.fingerprint(),
+            parent_key: parent.memo_key.clone(),
             world: parent.clone(),
             deltas: Vec::new(),
             dirty: BTreeSet::new(),
@@ -203,13 +195,14 @@ impl WorldFork {
     }
 
     /// Apply a delta: mutate (copy-on-write) the one instance it touches,
-    /// append it to the log, dirty its IXP, and re-key the world from the
-    /// log.
+    /// append it to the log, dirty its IXP, and append the delta's text to
+    /// the world's key. Same parent, same deltas, same key — across jobs
+    /// and processes.
     pub fn apply(&mut self, delta: Delta) {
         apply_delta_in_place(&mut self.world, &delta);
         self.dirty.insert(delta.touches());
+        self.world.memo_key = format!("{}|{delta:?}", self.world.memo_key).into();
         self.deltas.push(delta);
-        self.world.memo_key = fork_key(self.parent_key, &self.deltas);
         rp_obs::counter!("core.fork.deltas_applied").add(1);
     }
 
@@ -238,11 +231,6 @@ impl WorldFork {
         self.world
     }
 
-    /// The parent's content address at fork time.
-    pub fn parent_fingerprint(&self) -> u64 {
-        self.parent_key
-    }
-
     /// The fork's current content address (the parent's key while the
     /// log is empty).
     pub fn fingerprint(&self) -> u64 {
@@ -263,6 +251,7 @@ impl WorldFork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo;
     use crate::world::WorldConfig;
     use rp_ixp::model::{IxpInstance, ListingInfo, ResponderProfile};
     use rp_types::NetworkId;

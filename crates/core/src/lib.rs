@@ -66,7 +66,7 @@
 //! let world = World::build(&WorldConfig::test_scale(7));
 //! // Probe the first studied IXP and classify its interfaces.
 //! let ixp = world.scene.studied().next().unwrap().id;
-//! let samples = Campaign::default_paper().probe_ixp(&world, ixp);
+//! let samples = Campaign::default_paper().probe_ixp(&world, ixp, false).plane;
 //! let study = DetectionStudy::analyze_ixp(&world, ixp, &samples);
 //! println!(
 //!     "{}: {} analyzed, {} remote",

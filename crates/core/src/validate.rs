@@ -134,9 +134,9 @@ pub fn route_server_crosscheck(
     campaign: &Campaign,
     ixp: IxpId,
 ) -> (DetectionStudy, CrossCheck) {
-    let (samples, rs) = campaign.probe_ixp_ext(world, ixp, true);
-    let rs = rs.expect("requested route server");
-    let study = DetectionStudy::analyze_ixp(world, ixp, &samples);
+    let probe = campaign.probe_ixp(world, ixp, true);
+    let rs = probe.route_server.expect("requested route server");
+    let study = DetectionStudy::analyze_ixp(world, ixp, &probe.plane);
     let rs_min: SlotTable<f64> = SlotTable::from_pairs(
         world.scene.ixp(ixp),
         rs.into_iter().filter_map(|(ip, m)| m.map(|v| (ip, v))),

@@ -176,11 +176,12 @@ impl std::fmt::Display for Scale {
 /// IXP instance it touches.
 #[derive(Clone)]
 pub struct World {
-    /// Content address for the memo caches: the fingerprint of `config`
-    /// while the world is pristine, a deterministic fork key once deltas
-    /// have been applied through [`World::fork`], and a unique nonce once
-    /// it has been mutated in place (see [`World::mark_mutated`]).
-    pub(crate) memo_key: u64,
+    /// Canonical key text for the memo caches: the `Debug` text of
+    /// `config` while the world is pristine, the parent's key plus the
+    /// delta log once deltas have been applied through [`World::fork`],
+    /// and a unique `mutated#N` once it has been mutated in place (see
+    /// [`World::mark_mutated`] and [`crate::memo`]).
+    pub(crate) memo_key: Arc<str>,
     /// The configuration the world was built from.
     pub config: WorldConfig,
     /// The AS-level Internet (immutable snapshot plane).
@@ -296,7 +297,7 @@ impl World {
         );
 
         World {
-            memo_key: crate::memo::fingerprint(cfg),
+            memo_key: format!("{cfg:?}").into(),
             config: cfg.clone(),
             topology: Arc::new(topology),
             scene,
@@ -320,13 +321,13 @@ impl World {
     /// shared handle (the borrow checker enforces this: `Arc` only hands
     /// out `&World`).
     pub fn build_cached(cfg: &WorldConfig) -> std::sync::Arc<World> {
-        crate::memo::world_cached(crate::memo::fingerprint(cfg), || World::build(cfg))
+        crate::memo::world_cached(&format!("{cfg:?}"), || World::build(cfg))
     }
 
-    /// The world's current content address (config fingerprint, or a
-    /// unique nonce after mutation).
+    /// FNV-1a 64 fingerprint of the world's memo key text (the config
+    /// fingerprint while pristine).
     pub fn fingerprint(&self) -> u64 {
-        self.memo_key
+        crate::memo::text_fingerprint(&self.memo_key)
     }
 
     /// Declare that this world no longer matches its config. Every
@@ -341,7 +342,7 @@ impl World {
     /// [`crate::Campaign::probe_all_incremental`] can reuse parent probe
     /// results for the rest).
     pub fn mark_mutated(&mut self) {
-        self.memo_key = crate::memo::mutation_nonce();
+        self.memo_key = crate::memo::mutation_key();
     }
 
     /// Fork this world into a cheap copy-on-write child. The child shares

@@ -297,7 +297,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "core.memo.probe_miss",
         kind: "counter",
         scale: "lookups",
-        doc: "Campaign probe-set memo misses (campaign actually ran)",
+        doc: "Campaign probe-set memo misses (probe set inserted; a raced duplicate run counts as a hit)",
     },
     CatalogEntry {
         name: "core.memo.world_bytes",
@@ -321,7 +321,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "core.memo.world_miss",
         kind: "counter",
         scale: "lookups",
-        doc: "World-build memo misses (world actually built)",
+        doc: "World-build memo misses (world inserted; a raced duplicate build counts as a hit)",
     },
     CatalogEntry {
         name: "core.offload.cone_cache.hits",

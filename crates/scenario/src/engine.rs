@@ -46,13 +46,6 @@ pub struct SweepConfig {
     /// policy: sweep results are bit-identical at every value, so the knob
     /// never appears in the output JSON.
     pub shards: usize,
-    /// Reuse memoized world builds and probe sets across tasks (the
-    /// default). `false` is the reference arm the differential harness
-    /// compares against: every task rebuilds its world and re-probes from
-    /// scratch, bypassing [`remote_peering::memo`] entirely. Like
-    /// `shards`, pure performance policy — the output JSON is
-    /// byte-identical either way, so the knob never appears in it.
-    pub reuse: bool,
 }
 
 impl SweepConfig {
@@ -65,7 +58,6 @@ impl SweepConfig {
             confidence: 0.95,
             resamples: 400,
             shards: 0,
-            reuse: true,
         }
     }
 }
@@ -125,15 +117,10 @@ pub fn run_sweep(spec: &ScenarioSpec, cfg: &SweepConfig) -> Value {
             };
             // Memoized build + probe: tasks that revisit a (config,
             // campaign) pair — e.g. the baseline group across presets run
-            // in one process — share the expensive work. The reference arm
-            // (`reuse: false`) rebuilds and re-probes from scratch instead;
-            // byte-identity of the two paths is what the fork-equivalence
-            // harness pins.
-            let run = if cfg.reuse {
-                PreparedRun::probe_cached(&world_cfg, &campaign)
-            } else {
-                PreparedRun::probe(remote_peering::world::World::build(&world_cfg), &campaign)
-            };
+            // in one process — share the expensive work. The memo serves
+            // bit-identical metrics to a fresh build and probe
+            // (`memo::tests::cached_world_equals_direct_build`).
+            let run = PreparedRun::probe_cached(&world_cfg, &campaign);
             let out: Vec<(usize, u64, RunMetrics)> = members
                 .iter()
                 .map(|&ci| (ci, r, RunMetrics::collect(&run, &cells[ci].method_params())))

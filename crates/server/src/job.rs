@@ -29,10 +29,6 @@ pub enum JobSpec {
         scale: Scale,
         replicates: Option<u64>,
         shards: usize,
-        /// Reuse memoized worlds and probe sets across cells (the default).
-        /// `false` is the reference arm: every cell rebuilds and re-probes
-        /// from scratch. Artifacts are byte-identical either way.
-        probe_reuse: bool,
     },
     /// The correctness harness (`repro check`).
     Check(CheckConfig),
@@ -86,14 +82,7 @@ impl JobSpec {
                 for (key, _) in obj {
                     if !matches!(
                         key.as_str(),
-                        "kind"
-                            | "seed"
-                            | "scale"
-                            | "shards"
-                            | "replicates"
-                            | "spec"
-                            | "preset"
-                            | "probe_reuse"
+                        "kind" | "seed" | "scale" | "shards" | "replicates" | "spec" | "preset"
                     ) {
                         return Err(format!("unknown sweep key {key:?}"));
                     }
@@ -113,20 +102,12 @@ impl JobSpec {
                     None => None,
                     Some(_) => Some(u64_field(v, "replicates", 0)?),
                 };
-                let probe_reuse = match v.get("probe_reuse") {
-                    None => true,
-                    Some(Value::Bool(b)) => *b,
-                    Some(other) => {
-                        return Err(format!("\"probe_reuse\" must be a boolean, got {other}"))
-                    }
-                };
                 Ok(JobSpec::Sweep {
                     spec,
                     seed,
                     scale,
                     replicates,
                     shards,
-                    probe_reuse,
                 })
             }
             "check" => Ok(JobSpec::Check(CheckConfig::from_value(v)?)),
@@ -241,7 +222,6 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
             scale,
             replicates,
             shards,
-            probe_reuse,
         } => {
             let cfg = rp_scenario::SweepConfig {
                 seed: *seed,
@@ -250,7 +230,6 @@ pub fn run_job(spec: &JobSpec) -> JobResult {
                 confidence: 0.95,
                 resamples: 400,
                 shards: *shards,
-                reuse: *probe_reuse,
             };
             let out = {
                 let _run = rp_obs::span("repro.run");
@@ -486,6 +465,11 @@ mod tests {
         assert!(parse(r#"{"kind": "sweep", "preset": "smoke", "sepc": 1}"#)
             .unwrap_err()
             .contains("sepc"));
+        assert!(
+            parse(r#"{"kind": "sweep", "preset": "smoke", "probe_reuse": false}"#)
+                .unwrap_err()
+                .contains("probe_reuse")
+        );
         assert!(
             parse(r#"{"kind": "campaign", "params": {"not_a_param": 1}}"#)
                 .unwrap_err()

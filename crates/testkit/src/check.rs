@@ -46,14 +46,6 @@ pub struct CheckConfig {
     /// outcome, so recording it would turn a layout policy into spurious
     /// report churn.
     pub shards: usize,
-    /// Run the faulted arm as a from-scratch reference: rebuild the world
-    /// (bypassing the memo pool) and degrade it in place, instead of the
-    /// default copy-on-write fork of the clean build. Like `shards`, this
-    /// is deliberately absent from the report JSON — the fork path's
-    /// whole contract is that it cannot change a byte of the outcome,
-    /// which is exactly what the differential harness asserts by running
-    /// `repro check` both ways and comparing artifacts.
-    pub reference_rebuild: bool,
 }
 
 impl Default for CheckConfig {
@@ -64,7 +56,6 @@ impl Default for CheckConfig {
             fuzz_iters: 500,
             scale: Scale::Test,
             shards: 0,
-            reference_rebuild: false,
         }
     }
 }
@@ -74,8 +65,7 @@ impl CheckConfig {
     /// of the `repro check` flags, so services can accept check
     /// submissions without shelling out. Recognized keys (all optional,
     /// defaulting to the CLI's defaults): `seed`, `faults`, `fuzz`,
-    /// `scale` (`"test"`, `"paper"`, or `"production"`), `shards`,
-    /// `reference_rebuild`.
+    /// `scale` (`"test"`, `"paper"`, or `"production"`), and `shards`.
     /// Unknown keys are rejected so a typo'd knob fails loudly instead of
     /// silently running the default.
     pub fn from_value(v: &Value) -> Result<CheckConfig, String> {
@@ -113,11 +103,6 @@ impl CheckConfig {
                     cfg.shards = val.as_u64().ok_or_else(|| {
                         format!("\"shards\" must be a non-negative integer, got {val}")
                     })? as usize
-                }
-                "reference_rebuild" => {
-                    cfg.reference_rebuild = val.as_bool().ok_or_else(|| {
-                        format!("\"reference_rebuild\" must be a boolean, got {val}")
-                    })?
                 }
                 other => return Err(format!("unknown check config key {other:?}")),
             }
@@ -248,11 +233,9 @@ fn class_index(rtt: f64) -> usize {
 /// its membership is itself data-dependent, so monotonicity is not a
 /// theorem there.
 ///
-/// The addition happens on a copy-on-write fork (a `MemberAdd` delta), or
-/// — in reference-rebuild mode — as the legacy in-place push on a marked
-/// clone; both leave `world` itself untouched, and the differential
-/// harness holds the two paths to identical report bytes.
-fn offload_invariant(h: &mut Harness, world: &World, reference_rebuild: bool) {
+/// The addition happens on a copy-on-write fork (a `MemberAdd` delta), so
+/// `world` itself stays untouched.
+fn offload_invariant(h: &mut Harness, world: &World) {
     let home = world.home_ixps.clone();
     let Some(target) = world.studied_ixps().into_iter().find(|i| !home.contains(i)) else {
         return;
@@ -304,28 +287,12 @@ fn offload_invariant(h: &mut Harness, world: &World, reference_rebuild: bool) {
             asn_change: false,
         },
     };
-    let after = if reference_rebuild {
-        // Legacy path, kept as the differential reference: push the
-        // member onto a marked clone (the mark retires the clone's memo
-        // key so no probe memoization can alias the perturbed state).
-        let mut perturbed = world.clone();
-        perturbed.mark_mutated();
-        remote_peering::fork::apply_delta_in_place(
-            &mut perturbed,
-            &remote_peering::fork::Delta::MemberAdd {
-                ixp: target,
-                member,
-            },
-        );
-        potentials(&perturbed)
-    } else {
-        let mut fork = world.fork();
-        fork.apply(remote_peering::fork::Delta::MemberAdd {
-            ixp: target,
-            member,
-        });
-        potentials(fork.world())
-    };
+    let mut fork = world.fork();
+    fork.apply(remote_peering::fork::Delta::MemberAdd {
+        ixp: target,
+        member,
+    });
+    let after = potentials(fork.world());
 
     let mut pairs: Vec<(&'static str, f64, f64)> = Vec::new();
     for (i, &(label, _)) in GROUPS.iter().enumerate() {
@@ -341,12 +308,9 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     let world_cfg = cfg.scale.config(cfg.seed);
     let fcfg = FilterConfig::default();
 
-    // Clean arm. The default path pulls the build *and* its probe set
-    // from the process-wide memo, so repeated checks in one process (a
-    // `repro serve` worker, the bench's fork-vs-rebuild pair) pay for the
-    // clean arm once; reference mode rebuilds and re-probes from scratch,
-    // bypassing every cache, so the differential comparison covers the
-    // memo layer too.
+    // Clean arm. The build *and* its probe set come from the
+    // process-wide memo, so repeated checks in one process (a `repro
+    // serve` worker) pay for the clean arm once.
     let clean_campaign = Campaign {
         shards: cfg.shards,
         memory_budget_bytes: cfg.scale.default_memory_budget(),
@@ -354,14 +318,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     };
     let (clean_world, clean_probed) = {
         let _sp = rp_obs::span("testkit.check.clean");
-        if cfg.reference_rebuild {
-            let world = std::sync::Arc::new(World::build(&world_cfg));
-            let probed = clean_campaign.probe_all(&world);
-            (world, probed)
-        } else {
-            let prepared = PreparedRun::probe_cached(&world_cfg, &clean_campaign);
-            (prepared.world, (*prepared.probed).clone())
-        }
+        let prepared = PreparedRun::probe_cached(&world_cfg, &clean_campaign);
+        (prepared.world, (*prepared.probed).clone())
     };
     let clean = attach_entries(&clean_world, clean_probed, &fcfg);
 
@@ -372,17 +330,9 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
     );
     // Fork the clean build and apply the degradations as deltas — the
     // parent stays pristine and the fork gets a deterministic content
-    // address. Reference mode replays the legacy path instead: a fresh
-    // build degraded in place under a mutation nonce. Identical bytes
-    // either way (the fork-equivalence harness holds the report to it).
-    let (faulted_world, scene) = if cfg.reference_rebuild {
-        let mut rebuilt = World::build(&world_cfg);
-        let scene = plan.degrade_scene(&mut rebuilt);
-        (rebuilt, scene)
-    } else {
-        let (fork, scene) = plan.degrade_fork(&clean_world);
-        (fork.into_world(), scene)
-    };
+    // address.
+    let (fork, scene) = plan.degrade_fork(&clean_world);
+    let faulted_world = fork.into_world();
     let campaign = Campaign {
         shards: cfg.shards,
         memory_budget_bytes: cfg.scale.default_memory_budget(),
@@ -394,8 +344,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
             .studied_ixps()
             .par_iter()
             .map(|&ixp| {
-                let (samples, _, counts) = campaign.probe_ixp_full(&faulted_world, ixp, false);
-                ((ixp, samples), counts)
+                let probe = campaign.probe_ixp(&faulted_world, ixp, false);
+                ((ixp, probe.plane), probe.faults)
             })
             .collect()
     };
@@ -457,7 +407,7 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
         }
 
         // Offload monotonicity on the (degraded) world.
-        offload_invariant(&mut h, &faulted_world, cfg.reference_rebuild);
+        offload_invariant(&mut h, &faulted_world);
 
         // Fork commutativity on the clean world: two deltas applied
         // sequentially on one fork must equal two single-delta forks
@@ -557,8 +507,8 @@ pub fn run_check(cfg: &CheckConfig) -> CheckOutcome {
         // Replay exactness of a full faulted single-IXP probe.
         if let Some(&ixp) = faulted_world.studied_ixps().first() {
             invariants::replay_exact(&mut h, "faulted-probe", &|| {
-                let (samples, _, counts) = campaign.probe_ixp_full(&faulted_world, ixp, false);
-                (samples, counts)
+                let probe = campaign.probe_ixp(&faulted_world, ixp, false);
+                (probe.plane, probe.faults)
             });
         }
 
@@ -606,7 +556,6 @@ mod tests {
             fuzz_iters: 40,
             scale: Scale::Test,
             shards: 0,
-            reference_rebuild: false,
         }
     }
 
@@ -661,6 +610,10 @@ mod tests {
             .contains("fautls"));
         let scale = serde_json::from_str(r#"{"scale": "huge"}"#).unwrap();
         assert!(CheckConfig::from_value(&scale).is_err());
+        let removed = serde_json::from_str(r#"{"reference_rebuild": true}"#).unwrap();
+        assert!(CheckConfig::from_value(&removed)
+            .unwrap_err()
+            .contains("reference_rebuild"));
     }
 
     #[test]

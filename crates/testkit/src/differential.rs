@@ -10,11 +10,9 @@
 //! delta sequences, runs both arms, and compares the probe bytes and every
 //! derived [`RunMetrics`] value by exact `f64` bit pattern.
 //!
-//! Two more differentials cover the artifact surfaces consumers actually
-//! ship: [`check_report_differential`] runs the whole `repro check`
-//! pipeline with the fork path and with `reference_rebuild` and compares
-//! report JSON bytes; [`sweep_differential`] does the same for sweep JSON
-//! with probe reuse on and off.
+//! The module also holds the serial reference of the parallel campaign,
+//! [`probe_all_serial`]: reference paths live here, in the harness, and
+//! nowhere in the product's APIs.
 //!
 //! A differential harness that cannot fail proves nothing, so every run
 //! includes a *broken oracle*: a deliberately stale fork whose probe set
@@ -22,7 +20,6 @@
 //! expected to MISMATCH; if it ever matches, the harness has lost the
 //! sensitivity it exists for.
 
-use crate::check::{run_check, CheckConfig};
 use rand::RngExt;
 use remote_peering::campaign::Campaign;
 use remote_peering::fork::{apply_delta_in_place, Delta};
@@ -145,6 +142,18 @@ fn arm_result(world: World, probed: ProbeSet) -> ArmResult {
     }
 }
 
+/// The serial reference of [`Campaign::probe_all`]: every studied IXP
+/// probed in order on the calling thread. The parallel campaign must
+/// equal it bit for bit at any thread count
+/// (`tests/parallel_determinism.rs`, `benches/parallel.rs`).
+pub fn probe_all_serial(campaign: &Campaign, world: &World) -> ProbeSet {
+    world
+        .studied_ixps()
+        .into_iter()
+        .map(|ixp| (ixp, campaign.probe_ixp(world, ixp, false).plane))
+        .collect()
+}
+
 /// The fast arm: fork `world`, apply the deltas, re-probe incrementally
 /// against the parent's probe set.
 pub fn incremental_arm(
@@ -257,47 +266,6 @@ pub fn run_differential(seed: u64, rounds: u64, shard_counts: &[usize]) -> Vec<D
     out
 }
 
-/// Run the full check pipeline twice — fork path and
-/// `reference_rebuild` — and compare the report JSON byte for byte.
-pub fn check_report_differential(cfg: &CheckConfig) -> DiffOutcome {
-    let fork_cfg = CheckConfig {
-        reference_rebuild: false,
-        ..cfg.clone()
-    };
-    let ref_cfg = CheckConfig {
-        reference_rebuild: true,
-        ..cfg.clone()
-    };
-    let a = serde_json::to_string(&run_check(&fork_cfg).to_json()).expect("render check report");
-    let b = serde_json::to_string(&run_check(&ref_cfg).to_json()).expect("render check report");
-    DiffOutcome {
-        label: format!("check seed={} shards={}", cfg.seed, cfg.shards),
-        matched: a == b,
-        expected: true,
-    }
-}
-
-/// Run one sweep twice — probe reuse on and off — and compare the sweep
-/// JSON byte for byte.
-pub fn sweep_differential(preset: &str, cfg: &rp_scenario::SweepConfig) -> DiffOutcome {
-    let spec = rp_scenario::ScenarioSpec::preset(preset).expect("known preset");
-    let reuse = rp_scenario::SweepConfig {
-        reuse: true,
-        ..cfg.clone()
-    };
-    let rebuild = rp_scenario::SweepConfig {
-        reuse: false,
-        ..cfg.clone()
-    };
-    let a = serde_json::to_string(&rp_scenario::run_sweep(&spec, &reuse)).expect("render sweep");
-    let b = serde_json::to_string(&rp_scenario::run_sweep(&spec, &rebuild)).expect("render sweep");
-    DiffOutcome {
-        label: format!("sweep {preset} seed={} shards={}", cfg.seed, cfg.shards),
-        matched: a == b,
-        expected: true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,30 +297,5 @@ mod tests {
             );
             assert!(r.ok());
         }
-    }
-
-    #[test]
-    fn check_report_bytes_match_between_fork_and_rebuild() {
-        let row = check_report_differential(&CheckConfig {
-            seed: 9,
-            fault_trials: 12,
-            fuzz_iters: 20,
-            scale: remote_peering::world::Scale::Test,
-            shards: 0,
-            reference_rebuild: false,
-        });
-        assert!(row.ok(), "check artifacts diverged: {}", row.label);
-    }
-
-    #[test]
-    fn sweep_bytes_match_between_reuse_and_rebuild() {
-        let row = sweep_differential(
-            "smoke",
-            &rp_scenario::SweepConfig {
-                replicates: 2,
-                ..rp_scenario::SweepConfig::test_default(13)
-            },
-        );
-        assert!(row.ok(), "sweep artifacts diverged: {}", row.label);
     }
 }

@@ -33,11 +33,12 @@
 //!   `repro check [--faults N] [--fuzz N]`: one clean campaign, one
 //!   faulted campaign, the invariant suite over both, the fuzzer, and a
 //!   deterministic JSON report of injected faults vs. caught violations.
-//! - [`differential`] — the fork-equivalence harness: randomized delta
-//!   sequences run fork+incremental and from-scratch-rebuild arms, held
-//!   to byte identity over probe sets, run metrics, check reports, and
-//!   sweep JSON; a deliberately stale broken-oracle arm proves the
-//!   comparison can fail.
+//! - [`differential`] — the fork-equivalence harness and the home of
+//!   every reference path: randomized delta sequences run
+//!   fork+incremental and from-scratch-rebuild arms, held to byte
+//!   identity over probe sets and run metrics; a deliberately stale
+//!   broken-oracle arm proves the comparison can fail; and
+//!   `probe_all_serial` is the serial reference of the parallel campaign.
 
 pub mod check;
 pub mod differential;

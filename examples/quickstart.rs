@@ -37,7 +37,7 @@ fn main() {
         .expect("AMS-IX is in the dataset")
         .id;
     let campaign = Campaign::default_paper();
-    let samples = campaign.probe_ixp(&world, ams);
+    let samples = campaign.probe_ixp(&world, ams, false).plane;
     println!("probed {} listed interfaces at AMS-IX", samples.len());
 
     // Filters + classification.

@@ -40,6 +40,11 @@ fn assert_usage_error(out: &Output, expected_first_line: &str) {
 fn unknown_flag_is_one_line_error_exit_2() {
     let out = repro(&["--definitely-bogus"]);
     assert_usage_error(&out, "error: unknown flag --definitely-bogus");
+    // The removed reference-rebuild switches are unknown flags now.
+    let out = repro(&["check", "--reference-rebuild"]);
+    assert_usage_error(&out, "error: unknown flag --reference-rebuild");
+    let out = repro(&["sweep", "smoke", "--probe-rebuild"]);
+    assert_usage_error(&out, "error: unknown flag --probe-rebuild");
 }
 
 #[test]

@@ -39,7 +39,9 @@ fn measured_rtts_respect_topology_geography() {
     let world = World::build(&WorldConfig::test_scale(76));
     let ixp = world.studied_ixps()[0];
     let inst = world.scene.ixp(ixp);
-    let samples = Campaign::default_paper().probe_ixp(&world, ixp);
+    let samples = Campaign::default_paper()
+        .probe_ixp(&world, ixp, false)
+        .plane;
     let ixp_loc = inst.city().location;
     let mut checked = 0;
     for m in inst.members.iter().filter(|m| {
@@ -74,7 +76,9 @@ fn detection_results_agree_with_scene_attachment_kinds() {
     // remote.
     let world = World::build(&WorldConfig::test_scale(75));
     for &ixp in &world.studied_ixps()[..6] {
-        let samples = Campaign::default_paper().probe_ixp(&world, ixp);
+        let samples = Campaign::default_paper()
+            .probe_ixp(&world, ixp, false)
+            .plane;
         let study = DetectionStudy::analyze_ixp(&world, ixp, &samples);
         let inst = world.scene.ixp(ixp);
         for a in &study.analyzed {

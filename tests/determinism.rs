@@ -36,8 +36,8 @@ fn identical_campaigns_produce_identical_measurements() {
     let world = World::build(&WorldConfig::test_scale(98));
     let campaign = Campaign::default_paper();
     let ixp = world.studied_ixps()[3];
-    let a = campaign.probe_ixp(&world, ixp);
-    let b = campaign.probe_ixp(&world, ixp);
+    let a = campaign.probe_ixp(&world, ixp, false).plane;
+    let b = campaign.probe_ixp(&world, ixp, false).plane;
     assert_eq!(a, b, "probing must be replayable frame for frame");
 
     let sa = DetectionStudy::analyze_ixp(&world, ixp, &a);

@@ -46,16 +46,12 @@ fn golden_event_trace_digest_survives_scheduler_and_pool_swap() {
     // binary-driven `--threads 1` vs `--threads 4` byte identity.
     let world = World::build(&WorldConfig::test_scale(42));
     let campaign = Campaign::default_paper();
-    let serial: Vec<(u64, u64)> = world
-        .studied_ixps()
-        .iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
-        .collect();
-    let parallel: Vec<(u64, u64)> = world
-        .studied_ixps()
-        .par_iter()
-        .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
-        .collect();
+    let trace = |ixp| {
+        let probe = campaign.probe_ixp(&world, ixp, false);
+        (probe.trace_digest, probe.events)
+    };
+    let serial: Vec<(u64, u64)> = world.studied_ixps().into_iter().map(trace).collect();
+    let parallel: Vec<(u64, u64)> = world.studied_ixps().into_par_iter().map(trace).collect();
     assert_eq!(serial, parallel, "trace digests depend on scheduling");
 
     let fold = serial
@@ -88,8 +84,8 @@ fn trace_digest_is_shard_count_invariant() {
         world
             .studied_ixps()
             .iter()
-            .map(|&ixp| campaign.probe_ixp_trace(&world, ixp))
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, (d, _)| fnv1a_fold(h, d))
+            .map(|&ixp| campaign.probe_ixp(&world, ixp, false).trace_digest)
+            .fold(0xcbf2_9ce4_8422_2325_u64, fnv1a_fold)
     };
     for shards in [1usize, 2, 4] {
         assert_eq!(
@@ -106,7 +102,7 @@ fn parallel_probe_all_matches_serial_across_seeds() {
         let world = World::build(&WorldConfig::test_scale(seed));
         let campaign = Campaign::default_paper();
         let parallel = campaign.probe_all(&world);
-        let serial = campaign.probe_all_serial(&world);
+        let serial = rp_testkit::differential::probe_all_serial(&campaign, &world);
         assert_eq!(
             parallel.len(),
             serial.len(),
